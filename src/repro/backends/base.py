@@ -122,8 +122,9 @@ class Backend:
         ``schedule`` is any name :func:`repro.core.scheduler.make_schedule`
         accepts; ``executor`` is any name
         :func:`repro.kernels.executor.normalize_executor` accepts
-        (``None`` → interpreted); ``work_queue`` is the deprecated
-        boolean shim.
+        (``None`` → interpreted here; :meth:`repro.credo.runner.Credo.run`
+        resolves ``None`` through the selector before it calls a
+        backend); ``work_queue`` is the deprecated boolean shim.
         """
         raise NotImplementedError
 

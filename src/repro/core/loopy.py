@@ -59,9 +59,10 @@ class LoopyConfig:
     ``executor`` selects how each sweep is carried out (DESIGN.md §13):
     ``"interpreted"`` (default) dispatches the historical kernel
     functions per call; ``"compiled"`` lowers the state once into fused
-    gather–scatter programs (:mod:`repro.kernels`) and runs full sweeps
-    on a natural-order fast path — bit-exact with the interpreted
-    executor, validated in the parity grid.
+    gather–scatter programs (:mod:`repro.kernels`) and runs every sweep,
+    full or partial, through one fused body over gather-compacted edges
+    — bit-exact with the interpreted executor, validated in the parity
+    matrix.
 
     ``batch_fraction``, ``relaxation`` and ``schedule_seed`` parameterize
     the priority schedules; the others ignore them.

@@ -65,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("interpreted", "compiled", "auto"),
         help="sweep executor: interpreted kernels, fused compiled "
              "programs (bit-exact), or the selector's cost call "
-             "(default: interpreted)",
+             "(default: auto, the selector's call)",
     )
     run.add_argument(
         "--layout", default=None,
@@ -109,7 +109,8 @@ def _build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--staleness", type=int, default=None, metavar="K")
     prof.add_argument("--executor", default=None,
                       choices=("interpreted", "compiled", "auto"),
-                      help="sweep executor (default: interpreted)")
+                      help="sweep executor (default: auto, the "
+                           "selector's call)")
     prof.add_argument("--layout", default=None,
                       choices=("aos", "soa", "blocked", "auto"),
                       help="belief-store layout; 'auto' autotunes")
@@ -311,7 +312,7 @@ def _cmd_profile(args) -> int:
             graph.copy(), backend=args.backend,
             shards=args.shards, partitioner=args.partitioner,
             policy=args.shard_policy, staleness=args.staleness,
-            layout=args.layout,
+            executor="interpreted", layout=args.layout,
         )
 
     tracer = Tracer()

@@ -429,9 +429,10 @@ class Credo:
         path); it is mutually exclusive with the other two.
         ``shards``/``partitioner``/``policy``/``staleness`` request
         shard-parallel execution (equivalent to planning with the same
-        values).  ``executor=`` pins the sweep executor — ``"auto"``
-        asks the selector, ``None`` keeps the interpreted default (plans
-        carry their own recorded choice); ``layout=`` converts the
+        values).  ``executor=`` pins the sweep executor; ``None`` or
+        ``"auto"`` asks :meth:`CredoSelector.select_executor`, as
+        :meth:`plan` does (plans carry their own recorded choice);
+        ``layout=`` converts the
         graph's belief storage for the run (``"auto"`` invokes the
         plan-time autotuner), with posteriors written back to the
         caller's graph either way.
@@ -490,7 +491,7 @@ class Credo:
                 f"unknown backend {base_name!r}; Credo dispatches "
                 f"{sorted(self._backends)}"
             ) from None
-        if executor == "auto":
+        if executor is None or executor == "auto":
             executor = self.selector.select_executor(target, base_name)
         if self.work_queue is not None and schedule is None and not qualifier:
             # legacy boolean flows to the backend, which warns via LoopyConfig

@@ -11,13 +11,16 @@ and reused across sweeps:
 
 :mod:`repro.kernels.executor`
     The :class:`SweepExecutor` protocol, the ``EXECUTORS`` registry and
-    the interpreted fallback (bit-exact, the reference semantics).
+    the interpreted executor (the reference semantics parity is
+    checked against).
 
 :mod:`repro.kernels.compiled`
-    The compiled executor: plan-time lowering, full-sweep fast paths in
-    natural edge order, preallocated scratch buffers.  Validated
-    bit-exact against the interpreted executor (posteriors ≤ 1e-12;
-    see ``tests/test_kernels_executor.py``).
+    The compiled executor: plan-time lowering, one fused body for every
+    active set — partial sets gather-compacted into preallocated scratch
+    buffers, full sweeps as the identity-index case.  Validated
+    bit-exact against the interpreted executor (beliefs, messages and
+    log-message sums ``array_equal``; see
+    ``tests/test_kernels_executor.py``).
 
 :mod:`repro.kernels.layout`
     Belief-store layout as a first-class measured choice — the

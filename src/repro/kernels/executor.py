@@ -18,9 +18,9 @@ Two executors are registered:
 
 ``"compiled"``
     :class:`repro.kernels.compiled.CompiledExecutor`: lowers the state
-    once into fused gather–scatter programs and runs full sweeps on a
-    natural-edge-order fast path.  Bit-exact with the interpreted
-    executor by construction (see the module docstring there for the
+    once and runs every sweep — full or partial — through one fused
+    gather–scatter body over gather-compacted edges.  Bit-exact with
+    the interpreted executor (see the module docstring there for the
     ordering argument).
 """
 

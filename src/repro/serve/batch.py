@@ -152,9 +152,10 @@ def run_batched(
     state = LoopyState(union)
     # One executor for the whole batch, lowered against the union state
     # (the union-edge chunking below issues chunks=1 calls, so the edge
-    # program is lowered accordingly).  A full-sync batch concatenates to
-    # the union's complete element range, which is exactly the compiled
-    # executor's fused fast path.
+    # program is lowered accordingly).  Union active sets are compacted
+    # by the compiled executor like any partial set; a full-sync batch
+    # concatenates to the union's complete element range, the
+    # identity-index case.
     executor = make_executor(
         config.executor,
         state,

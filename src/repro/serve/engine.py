@@ -50,6 +50,8 @@ class QueryOutcome:
     batch_size: int = 1
     error: str | None = None
     detail: str | None = None
+    #: fused programs the answering sweeps launched (0: interpreted)
+    fused_launches: int = 0
 
 
 class QueryEngine:
@@ -190,6 +192,7 @@ class QueryEngine:
             update_rule="sum_product",
             criterion=self.credo.criterion,
             schedule=model.plan.schedule,
+            executor=model.plan.executor,
         )
 
     # ------------------------------------------------------------------
@@ -216,6 +219,7 @@ class QueryEngine:
                     iterations=run.iterations,
                     converged=run.converged,
                     batch_size=len(evidences),
+                    fused_launches=run.stats.fused_launches,
                 )
                 self.metrics.record_query(plan.backend, run.iterations)
                 if use_cache:
@@ -243,6 +247,7 @@ class QueryEngine:
                 iterations=result.iterations,
                 converged=result.converged,
                 batch_size=1,
+                fused_launches=result.stats.fused_launches,
             )
             self.metrics.record_query(plan.backend, result.iterations)
             if use_cache:
@@ -284,6 +289,7 @@ class QueryEngine:
                 iterations=result.iterations,
                 converged=result.converged,
                 batch_size=1,
+                fused_launches=result.run_stats.total.fused_launches,
             )
             self.metrics.record_query(plan.backend, result.iterations)
             if use_cache:

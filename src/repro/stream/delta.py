@@ -267,9 +267,15 @@ def _apply_structural(graph: BeliefGraph, delta: GraphDelta) -> DeltaResult:
             raise KeyError(f"node id {nid} out of range")
         return nid
 
-    pair_to_edge = {
-        (int(s), int(d)): e for e, (s, d) in enumerate(zip(graph.src, graph.dst))
-    }
+    def edge_between(u: int, v: int) -> int | None:
+        """Id of the directed edge ``u → v`` in the old graph (the last
+        one when parallel edges exist), through the out-CSR."""
+        if u >= n_old or v >= n_old:
+            return None
+        out = graph.out_edges(u)
+        hits = out[graph.dst[out] == v]
+        return int(hits[-1]) if len(hits) else None
+
     shared_mat = graph.potentials.matrix(0) if graph.potentials.shared and m_old else None
 
     add_pairs: list[tuple[int, int]] = []
@@ -279,7 +285,7 @@ def _apply_structural(graph: BeliefGraph, delta: GraphDelta) -> DeltaResult:
         ui, vi = resolve(u), resolve(v)
         if ui == vi:
             raise ValueError(f"self loop on node {ui} is not allowed")
-        if (ui, vi) in pair_to_edge or (vi, ui) in pair_to_edge:
+        if edge_between(ui, vi) is not None or edge_between(vi, ui) is not None:
             raise ValueError(f"edge {ui}–{vi} already exists")
         if (ui, vi) in pending or (vi, ui) in pending:
             raise ValueError(f"edge {ui}–{vi} added twice in one delta")
@@ -297,9 +303,9 @@ def _apply_structural(graph: BeliefGraph, delta: GraphDelta) -> DeltaResult:
     removals: set[int] = set()
     for u, v in delta.remove_edges:
         ui, vi = resolve(u), resolve(v)
-        eid = pair_to_edge.get((ui, vi))
+        eid = edge_between(ui, vi)
         if eid is None:
-            eid = pair_to_edge.get((vi, ui))
+            eid = edge_between(vi, ui)
         if eid is None:
             raise ValueError(f"no edge {ui}–{vi} to remove")
         removals.add(eid)

@@ -245,3 +245,195 @@ class TestPlanIntegration:
             np.asarray(got.beliefs), np.asarray(ref.beliefs)
         )
         assert got.detail.get("executor") == "compiled"
+
+
+# ---------------------------------------------------------------------------
+# Compacted sweeps: every partial active set (work queue, residual and
+# relaxed batches, shard-owned rows, served unions) runs the fused body,
+# so parity is checked on the full state — beliefs, stored messages and
+# the log-message accumulator — with no tolerance, and every compiled
+# sweep must report a fused launch (a silent interpreted fallback fails).
+# ---------------------------------------------------------------------------
+RULES = (("sum_product", "sum"), ("broadcast", "sum"), ("sum_product", "max"))
+
+
+def _matrix_graph(kind: str, evidence: bool, seed: int = 42):
+    """``paired``: every edge has a reverse; ``unpaired``: some directed
+    edges lack one; ``per_edge``: a per-edge potential stack."""
+    from repro.core.graph import BeliefGraph
+    from repro.core.potentials import attractive_potential
+
+    base = make_loopy_graph(seed=seed, n_nodes=40, n_edges=90, n_states=3)
+    if kind == "paired":
+        g = base
+    else:
+        priors = base.priors.dense()
+        if kind == "unpaired":
+            keep = np.arange(base.n_edges) % 5 != 0
+            g = BeliefGraph(priors, base.src[keep], base.dst[keep],
+                            attractive_potential(3, 0.7))
+            assert (g.reverse_edge < 0).any() and (g.reverse_edge >= 0).any()
+        else:
+            rng = np.random.default_rng(seed)
+            stack = rng.uniform(0.2, 1.0, size=(base.n_edges, 3, 3))
+            g = BeliefGraph(priors, base.src, base.dst, stack.astype(np.float32))
+    if evidence:
+        observe(g, 3, 1)
+        observe(g, 17, 0)
+    return g
+
+
+def _assert_every_sweep_fused(per_sweep):
+    worked = [s for s in per_sweep if s.nodes_processed or s.edges_processed]
+    assert worked, "no sweep did any work"
+    assert all(s.fused_launches >= 1 for s in worked)
+
+
+def _assert_states_equal(got, ref):
+    np.testing.assert_array_equal(got.beliefs, ref.beliefs)
+    np.testing.assert_array_equal(got.messages, ref.messages)
+    np.testing.assert_array_equal(got.log_messages, ref.log_messages)
+    np.testing.assert_array_equal(got.log_msg_sum, ref.log_msg_sum)
+
+
+class _CaptureStates:
+    """Sharded-run instrument that keeps the per-shard states."""
+
+    def __init__(self):
+        self.states = []
+
+    def on_states(self, states):
+        self.states = list(states)
+
+    def on_phase(self, label):
+        pass
+
+
+class TestCompactedParityMatrix:
+    @pytest.mark.parametrize("graph_kind", ["paired", "unpaired", "per_edge"])
+    @pytest.mark.parametrize("rule", RULES, ids=lambda r: f"{r[0]}-{r[1]}")
+    @pytest.mark.parametrize("damping", [0.0, 0.3], ids=["undamped", "damped"])
+    @pytest.mark.parametrize("evidence", [False, True], ids=["free", "evidence"])
+    @pytest.mark.parametrize("paradigm", ["node", "edge"])
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_single_engine_state_bitwise(
+        self, schedule, paradigm, evidence, damping, rule, graph_kind
+    ):
+        from repro.core.state import LoopyState
+
+        update_rule, semiring = rule
+        runs = {}
+        for executor in EXECUTORS:
+            g = _matrix_graph(graph_kind, evidence)
+            state = LoopyState(g)
+            result = LoopyBP(
+                paradigm=paradigm, schedule=schedule, criterion=CRIT,
+                damping=damping, update_rule=update_rule, semiring=semiring,
+                executor=executor,
+            ).run(g, state=state)
+            runs[executor] = (result, state)
+        ref, ref_state = runs["interpreted"]
+        got, got_state = runs["compiled"]
+        assert got.iterations == ref.iterations
+        assert got.converged == ref.converged
+        _assert_states_equal(got_state, ref_state)
+        _assert_every_sweep_fused(got.run_stats.per_iteration)
+
+    @pytest.mark.parametrize("evidence", [False, True], ids=["free", "evidence"])
+    @pytest.mark.parametrize("paradigm", ["node", "edge"])
+    @pytest.mark.parametrize("schedule", ["work_queue", "residual", "relaxed"])
+    def test_four_shards_state_bitwise(self, schedule, paradigm, evidence):
+        runs = {}
+        for executor in EXECUTORS:
+            g = _matrix_graph("paired", evidence, seed=21)
+            capture = _CaptureStates()
+            engine = ShardedLoopyBP(
+                LoopyConfig(paradigm=paradigm, schedule=schedule,
+                            criterion=CRIT, executor=executor),
+                instrument=capture,
+            )
+            result = engine.run_graph(g, n_shards=4, method="bfs")
+            runs[executor] = (result, capture.states)
+        ref, ref_states = runs["interpreted"]
+        got, got_states = runs["compiled"]
+        assert got.iterations == ref.iterations
+        np.testing.assert_array_equal(got.beliefs, ref.beliefs)
+        assert len(got_states) == len(ref_states) == 4
+        for got_state, ref_state in zip(got_states, ref_states):
+            _assert_states_equal(got_state, ref_state)
+        _assert_every_sweep_fused(
+            [s for per_shard in got.per_shard_stats for s in per_shard]
+        )
+
+    @pytest.mark.parametrize("paradigm", ["node", "edge"])
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_serve_union_bitwise(self, schedule, paradigm):
+        from repro.serve.batch import run_batched
+
+        evidences = [[(3, 1)], [(17, 0), (5, 2)], [], [(30, 1)]]
+        runs = {}
+        for executor in EXECUTORS:
+            config = LoopyConfig(paradigm=paradigm, schedule=schedule,
+                                 criterion=CRIT, executor=executor)
+            runs[executor], _ = run_batched(
+                _matrix_graph("unpaired", False), config, evidences
+            )
+        for got, ref in zip(runs["compiled"], runs["interpreted"]):
+            assert got.iterations == ref.iterations
+            np.testing.assert_array_equal(got.beliefs, ref.beliefs)
+        union_sweeps = max(run.iterations for run in runs["compiled"])
+        assert runs["compiled"][0].stats.fused_launches >= union_sweeps
+        assert runs["interpreted"][0].stats.fused_launches == 0
+
+    def test_lowering_survives_in_place_evidence(self):
+        # evidence deltas flip free_mask in place under a kept lowering:
+        # the compiled sweeps must read the live mask, not a stale copy
+        from repro.core.state import LoopyState
+        from repro.kernels.executor import cached_executor
+
+        states, caches = {}, {}
+        for executor in EXECUTORS:
+            g = _matrix_graph("paired", False)
+            state, cache = LoopyState(g), {}
+            LoopyBP(paradigm="edge", schedule="sync", criterion=CRIT,
+                    executor=executor).run(g, state=state, executor_cache=cache)
+            observe(g, 9, 2)
+            np.logical_not(g.observed, out=state.free_mask)
+            state.beliefs[9] = 0.0
+            state.beliefs[9, 2] = 1.0
+            LoopyBP(paradigm="edge", schedule="sync", criterion=CRIT,
+                    executor=executor).run(g, state=state, executor_cache=cache)
+            states[executor], caches[executor] = state, cache
+        assert cached_executor(
+            caches["compiled"], "compiled", states["compiled"], paradigm="edge"
+        ).name == "compiled"
+        _assert_states_equal(states["compiled"], states["interpreted"])
+        assert states["compiled"].beliefs[9, 2] == 1.0
+
+
+class TestServedQueriesHonourPlanExecutor:
+    @pytest.mark.parametrize("shards", [1, 2], ids=["batched", "two-shard"])
+    def test_compiled_plan_fuses_and_matches_interpreted(self, shards):
+        from repro.serve import InferenceServer, ServerConfig
+
+        queries = [{"evidence": {"3": 1}}, {"evidence": {"17": 0, "5": 2}}]
+        outcomes = {}
+        for executor in EXECUTORS:
+            srv = InferenceServer(
+                ServerConfig(backend=f"c-node:work_queue!{executor}",
+                             shards=shards, cache_capacity=0, max_batch=8),
+                autostart=False,
+            )
+            try:
+                model = srv.register_model("g", _matrix_graph("paired", False))
+                assert model.plan.executor == executor
+                assert (model.sharded is not None) == (shards > 1)
+                outcomes[executor] = srv.engine.execute(model, queries)
+            finally:
+                srv.stop()
+        for got, ref in zip(outcomes["compiled"], outcomes["interpreted"]):
+            assert got.ok and ref.ok
+            assert got.iterations == ref.iterations
+            np.testing.assert_array_equal(got.posteriors, ref.posteriors)
+            assert got.fused_launches > 0
+            assert ref.fused_launches == 0
